@@ -10,8 +10,9 @@ unknown keys to an arbitrary node whose exact FIB then drops them.
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -34,9 +35,12 @@ FibFactory = Callable[[int], FibTable]
 INGRESS_POLICIES = ("random", "roundrobin", "utilization")
 
 
-@dataclass(frozen=True)
-class RouteResult:
-    """Outcome of routing one key through the cluster."""
+class RouteResult(NamedTuple):
+    """Outcome of routing one key through the cluster.
+
+    A named tuple: immutable, ``_replace`` derives a variant, and it
+    compares equal to a plain tuple holding the same values.
+    """
 
     key: int
     ingress: int
@@ -53,13 +57,22 @@ class RouteResult:
         """Whether the packet reached a node that accepted it."""
         return not self.dropped
 
+    def as_drop(self, reason: str) -> "RouteResult":
+        """This routed packet, refused after routing for ``reason``."""
+        return self._replace(
+            handled_by=None, value=None, dropped=True, reason=reason
+        )
+
 
 class RouteBatchResult(SequenceABC):
     """Typed outcome of :meth:`Cluster.route_batch`.
 
-    Behaves as a sequence of :class:`RouteResult` (so per-packet code and
-    older call sites keep working) while exposing the batch as NumPy
-    arrays for vectorised analysis:
+    Column-first: the batch is a set of NumPy arrays for vectorised
+    analysis, and it still behaves as a sequence of :class:`RouteResult`
+    (so per-packet code and older call sites keep working).  A batch
+    routed by the vectorised ScaleBricks path builds its per-packet
+    tuple only when first asked for it (iteration, indexing,
+    :attr:`results`); length and the summary properties read the columns.
 
     Attributes:
         results: the per-packet :class:`RouteResult` tuple.
@@ -73,43 +86,96 @@ class RouteBatchResult(SequenceABC):
     """
 
     __slots__ = (
-        "results", "egress_nodes", "hop_counts", "indirections",
-        "dropped", "values", "latencies_us",
+        "_results", "_keys", "_ingress", "_handlers", "egress_nodes",
+        "hop_counts", "indirections", "dropped", "values", "latencies_us",
     )
 
     def __init__(self, results: Sequence[RouteResult]) -> None:
-        self.results: Tuple[RouteResult, ...] = tuple(results)
-        n = len(self.results)
+        self._results: Optional[Tuple[RouteResult, ...]] = tuple(results)
+        self._keys = self._ingress = self._handlers = None
+        n = len(self._results)
         self.egress_nodes = np.fromiter(
             (-1 if r.handled_by is None else r.handled_by
-             for r in self.results),
+             for r in self._results),
             dtype=np.int64, count=n,
         )
         self.hop_counts = np.fromiter(
-            (r.internal_hops for r in self.results), dtype=np.int64, count=n
+            (r.internal_hops for r in self._results), dtype=np.int64, count=n
         )
         self.indirections = self.hop_counts >= 2
         self.dropped = np.fromiter(
-            (r.dropped for r in self.results), dtype=bool, count=n
+            (r.dropped for r in self._results), dtype=bool, count=n
         )
         self.values = np.fromiter(
-            (-1 if r.value is None else r.value for r in self.results),
+            (-1 if r.value is None else r.value for r in self._results),
             dtype=np.int64, count=n,
         )
         self.latencies_us = np.fromiter(
-            (r.latency_us for r in self.results), dtype=np.float64, count=n
+            (r.latency_us for r in self._results), dtype=np.float64, count=n
         )
 
+    @classmethod
+    def from_columns(
+        cls,
+        keys: np.ndarray,
+        ingress: np.ndarray,
+        handlers: np.ndarray,
+        found: np.ndarray,
+        values: np.ndarray,
+        latencies_us: np.ndarray,
+    ) -> "RouteBatchResult":
+        """A one-crossing batch: each packet went ingress -> handler.
+
+        ``handlers`` is where the GPT sent each packet and ``found``
+        whether that node's FIB accepted it; a packet is ``unknown_key``
+        exactly when it was not found.
+        """
+        batch = cls.__new__(cls)
+        batch._results = None
+        batch._keys, batch._ingress, batch._handlers = keys, ingress, handlers
+        batch.egress_nodes = np.where(found, handlers, -1)
+        batch.hop_counts = (handlers != ingress).astype(np.int64)
+        batch.indirections = batch.hop_counts >= 2
+        batch.dropped = ~found
+        batch.values = np.where(found, values, -1)
+        batch.latencies_us = latencies_us
+        return batch
+
+    @property
+    def results(self) -> Tuple[RouteResult, ...]:
+        """The per-packet :class:`RouteResult` tuple (built once)."""
+        if self._results is None:
+            out = []
+            for key, ing, handler, latency, value, dropped in zip(
+                self._keys.tolist(), self._ingress.tolist(),
+                self._handlers.tolist(), self.latencies_us.tolist(),
+                self.values.tolist(), self.dropped.tolist(),
+            ):
+                path = (ing,) if handler == ing else (ing, handler)
+                out.append(RouteResult(
+                    key, ing, path, len(path) - 1, latency,
+                    None if dropped else handler, None if dropped else value,
+                    dropped, "unknown_key" if dropped else "handled",
+                ))
+            self._results = tuple(out)
+        return self._results
+
     def __len__(self) -> int:
-        return len(self.results)
+        return int(self.dropped.size)
 
     def __iter__(self):
         return iter(self.results)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return RouteBatchResult(self.results[index])
-        return self.results[index]
+        if not isinstance(index, slice):
+            return self.results[index]
+        if self._results is not None:
+            return RouteBatchResult(self._results[index])
+        return RouteBatchResult.from_columns(
+            self._keys[index], self._ingress[index], self._handlers[index],
+            ~self.dropped[index], self.values[index],
+            self.latencies_us[index],
+        )
 
     @property
     def delivered_count(self) -> int:
@@ -124,13 +190,13 @@ class RouteBatchResult(SequenceABC):
     @property
     def mean_hops(self) -> float:
         """Average internal fabric transits per packet."""
-        if not len(self.results):
+        if not len(self):
             return 0.0
         return float(self.hop_counts.mean())
 
     def __repr__(self) -> str:
         return (
-            f"RouteBatchResult(n={len(self.results)}, "
+            f"RouteBatchResult(n={len(self)}, "
             f"delivered={self.delivered_count}, "
             f"mean_hops={self.mean_hops:.2f})"
         )
@@ -517,21 +583,21 @@ class Cluster:
 
         remote = handlers != ingress_arr
         latencies = self.fabric.deliver_batch(ingress_arr, handlers, size)
-        for node_id, count in zip(
-            *np.unique(handlers[remote], return_counts=True)
+        internal_rx = np.bincount(handlers[remote], minlength=num_nodes)
+        forwarded = np.bincount(ingress_arr[remote], minlength=num_nodes)
+        handled = np.bincount(handlers, minlength=num_nodes)
+        for node, rx, fwd in zip(
+            self.nodes, internal_rx.tolist(), forwarded.tolist()
         ):
-            self.nodes[int(node_id)].counters.internal_rx += int(count)
-        for node_id, count in zip(
-            *np.unique(ingress_arr[remote], return_counts=True)
-        ):
-            self.nodes[int(node_id)].counters.forwarded += int(count)
+            node.counters.internal_rx += rx
+            node.counters.forwarded += fwd
 
         found = np.zeros(n, dtype=bool)
         values = np.full(n, -1, dtype=np.int64)
-        for node_id in np.unique(handlers):
+        for node_id in np.flatnonzero(handled).tolist():
             mask = handlers == node_id
-            node = self.nodes[int(node_id)]
-            count = int(mask.sum())
+            node = self.nodes[node_id]
+            count = int(handled[node_id])
             node.counters.fib_lookups += count
             try:
                 node_found, node_values = node.fib.lookup_batch_array(
@@ -553,34 +619,19 @@ class Cluster:
             found[mask] = node_found
             values[mask] = node_values
 
-        results = []
-        for i in range(n):
-            ing = int(ingress_arr[i])
-            handler = int(handlers[i])
-            path = (ing,) if handler == ing else (ing, handler)
-            hit = bool(found[i])
-            results.append(
-                RouteResult(
-                    key=int(keys_arr[i]),
-                    ingress=ing,
-                    path=path,
-                    internal_hops=len(path) - 1,
-                    latency_us=float(latencies[i]),
-                    handled_by=handler if hit else None,
-                    value=int(values[i]) if hit else None,
-                    dropped=not hit,
-                    reason="handled" if hit else "unknown_key",
-                )
-            )
-
         dropped_count = n - int(found.sum())
         self._m_routed.inc(n)
         if dropped_count:
             self._m_dropped.inc(dropped_count)
         if n - dropped_count:
             self._m_delivered.inc(n - dropped_count)
-        self._m_hops.observe_many(remote.astype(np.int64))
-        return RouteBatchResult(results)
+        # The keys are copied: the caller's array may change before the
+        # per-packet results are built from it.
+        batch = RouteBatchResult.from_columns(
+            keys_arr.copy(), ingress_arr, handlers, found, values, latencies
+        )
+        self._m_hops.observe_many(batch.hop_counts)
+        return batch
 
     def _finish(
         self,

@@ -96,19 +96,7 @@ class FailoverManager:
             ingress = int(np.random.default_rng().choice(candidates))
         result = self.cluster.route(key, ingress)
         if any(node in self.down for node in result.path):
-            from repro.cluster.cluster import RouteResult
-
-            return RouteResult(
-                key=result.key,
-                ingress=ingress,
-                path=result.path,
-                internal_hops=result.internal_hops,
-                latency_us=result.latency_us,
-                handled_by=None,
-                value=None,
-                dropped=True,
-                reason="node_down",
-            )
+            return result.as_drop("node_down")
         return result
 
     # ------------------------------------------------------------------

@@ -69,7 +69,13 @@ class EpcController:
         self.num_regions = num_regions
         self.teids = TeidAllocator()
         self.flows: Dict[int, FlowRecord] = {}
-        self._by_teid: Dict[int, int] = {}
+        # TEID-indexed columns mirroring ``flows`` (TEIDs are dense and
+        # recycled), so the batch data path reads a bearer's key,
+        # handling node and base station with one fancy index.  A free
+        # TEID (and TEID 0, never allocated) has handling node -1.
+        self.key_by_teid = np.zeros(1, dtype=np.uint64)
+        self.node_by_teid = np.full(1, -1, dtype=np.int64)
+        self.base_station_by_teid = np.zeros(1, dtype=np.int64)
         self._next_node = int(np.random.default_rng(seed).integers(num_nodes))
 
     def _assign_node(self, flow: FlowTuple, region: int) -> int:
@@ -112,15 +118,31 @@ class EpcController:
             region=region,
         )
         self.flows[key] = record
-        self._by_teid[record.teid] = key
+        self._store(record)
         return record
+
+    def _store(self, record: FlowRecord) -> None:
+        """Write one live record into the TEID-indexed columns."""
+        teid = record.teid
+        if teid >= self.node_by_teid.size:
+            pad = max(64, 2 * teid) - self.node_by_teid.size
+            self.key_by_teid = np.append(
+                self.key_by_teid, np.zeros(pad, dtype=np.uint64)
+            )
+            self.node_by_teid = np.append(self.node_by_teid, np.full(pad, -1))
+            self.base_station_by_teid = np.append(
+                self.base_station_by_teid, np.zeros(pad, dtype=np.int64)
+            )
+        self.key_by_teid[teid] = record.key
+        self.node_by_teid[teid] = record.handling_node
+        self.base_station_by_teid[teid] = record.base_station_ip
 
     def teardown_bearer(self, flow: FlowTuple) -> Optional[FlowRecord]:
         """Release a bearer and its TEID; returns the removed record."""
         record = self.flows.pop(flow.key(), None)
         if record is not None:
             self.teids.release(record.teid)
-            self._by_teid.pop(record.teid, None)
+            self.node_by_teid[record.teid] = -1
         return record
 
     def rehome(self, flow: FlowTuple, new_node: int) -> FlowRecord:
@@ -132,6 +154,7 @@ class EpcController:
             raise KeyError(f"no bearer for flow {flow}")
         moved = replace(record, handling_node=new_node)
         self.flows[moved.key] = moved
+        self._store(moved)
         return moved
 
     def handover(self, flow: FlowTuple, new_base_station_ip: int) -> FlowRecord:
@@ -146,6 +169,7 @@ class EpcController:
             raise KeyError(f"no bearer for flow {flow}")
         moved = replace(record, base_station_ip=new_base_station_ip)
         self.flows[moved.key] = moved
+        self._store(moved)
         return moved
 
     def record_for_key(self, key: int) -> Optional[FlowRecord]:
@@ -154,8 +178,29 @@ class EpcController:
 
     def record_for_teid(self, teid: int) -> Optional[FlowRecord]:
         """Controller record by tunnel endpoint identifier."""
-        key = self._by_teid.get(teid)
-        return self.flows.get(key) if key is not None else None
+        if not 0 <= teid < self.node_by_teid.size or (
+            self.node_by_teid[teid] < 0
+        ):
+            return None
+        return self.flows.get(int(self.key_by_teid[teid]))
+
+    def check_teids(self, keys: np.ndarray, teids: np.ndarray) -> None:
+        """Assert that each ``teids[i]`` is the live bearer of ``keys[i]``.
+
+        The FIB value of a routed packet must be the TEID the controller
+        holds for its key; a mismatch means the data plane diverged from
+        the control plane.  Raises even when Python runs with ``-O``.
+        """
+        keys = np.asarray(keys, dtype=np.uint64)
+        bad = (teids < 0) | (teids >= self.node_by_teid.size)
+        safe = np.where(bad, 0, teids)
+        bad |= (self.node_by_teid[safe] < 0) | (self.key_by_teid[safe] != keys)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise AssertionError(
+                f"FIB value {int(teids[i])} is not the controller's TEID "
+                f"for flow key {int(keys[i])}"
+            )
 
     def __len__(self) -> int:
         return len(self.flows)

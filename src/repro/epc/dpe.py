@@ -203,45 +203,56 @@ class DataPlaneEngine:
         """Account many packets at once; returns per-packet accept flags.
 
         Equivalent to calling :meth:`process` per packet in input order.
-        Packets are grouped by bearer; a group without a policer collapses
-        to one counter update (the intermediate state transitions have no
-        net effect), while policed bearers replay their packets through
-        the scalar path so the token bucket sees every arrival.
+        Packets are grouped by bearer in one sort; a group without a
+        policer collapses to one plain-int counter update (the
+        intermediate state transitions have no net effect), while policed
+        bearers replay their packets through the scalar path so the token
+        bucket sees every arrival.
         """
         teids = np.asarray(teids, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
         nows = np.asarray(nows, dtype=np.float64)
         n = teids.size
-        ok = np.zeros(n, dtype=bool)
         if n == 0:
-            return ok
+            return np.zeros(0, dtype=bool)
+        # One grouping pass: a stable sort puts each bearer's packets
+        # together in arrival order, so a group's last element is the
+        # packet whose ``now`` the bearer keeps.
         order = np.argsort(teids, kind="stable")
         sorted_teids = teids[order]
-        boundaries = np.nonzero(np.diff(sorted_teids))[0] + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [n]])
-        for start, end in zip(starts, ends):
-            idx = order[start:end]
-            teid = int(sorted_teids[start])
-            context = self._flows.get(teid)
-            if context is None:
+        edge = np.empty(n + 1, dtype=bool)
+        edge[0] = edge[n] = True
+        np.not_equal(sorted_teids[1:], sorted_teids[:-1], out=edge[1:n])
+        bounds = np.flatnonzero(edge)
+        starts = bounds[:-1]
+        totals = np.add.reduceat(sizes[order], starts)
+        last_now = nows[order[bounds[1:] - 1]]
+        flows, active = self._flows, BearerState.ACTIVE
+        # Groups without a plain context (unknown or policed bearers)
+        # replay packet by packet through :meth:`process`.
+        replay = []
+        for teid, start, end, total, now in zip(
+            sorted_teids[starts].tolist(), starts.tolist(),
+            bounds[1:].tolist(), totals.tolist(), last_now.tolist(),
+        ):
+            context = flows.get(teid)
+            if context is None or context.policer is not None:
+                replay.append((teid, start, end))
                 continue
-            if context.policer is not None:
-                for i in idx:
-                    ok[i] = self.process(
-                        teid, int(sizes[i]), downlink, float(nows[i])
-                    )
-                continue
-            total = int(sizes[idx].sum())
-            context.state = BearerState.ACTIVE
-            context.last_activity = float(nows[idx[-1]])
+            context.state = active
+            context.last_activity = now
             if downlink:
                 context.downlink_bytes += total
-                context.downlink_packets += idx.size
+                context.downlink_packets += end - start
             else:
                 context.uplink_bytes += total
-                context.uplink_packets += idx.size
-            ok[idx] = True
+                context.uplink_packets += end - start
+        ok = np.ones(n, dtype=bool)
+        for teid, start, end in replay:
+            for i in order[start:end].tolist():
+                ok[i] = self.process(
+                    teid, int(sizes[i]), downlink, float(nows[i])
+                )
         return ok
 
     def expire_idle(self, now: float) -> int:

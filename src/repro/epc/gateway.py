@@ -29,6 +29,15 @@ from repro.epc.packets import FlowTuple, extract_flow, parse_frame
 from repro.epc.tunnels import GtpTunnelEndpoint
 from repro.obs.metrics import LATENCY_BUCKETS_US, MetricsRegistry
 
+
+def _unrouted(key: int, ingress: Optional[int], reason: str) -> RouteResult:
+    """A frame dropped before routing (malformed, ACL-blocked)."""
+    return RouteResult(
+        key, -1 if ingress is None else int(ingress), (), 0, 0.0, None, None,
+        True, reason,
+    )
+
+
 class ChargingLedger:
     """Per-bearer byte accounting (the gateway's ``stats`` attribute).
 
@@ -54,18 +63,13 @@ class ChargingLedger:
         self._c_bytes.inc(size)
 
     def charge_many(self, teids: np.ndarray, sizes: np.ndarray) -> None:
-        """Batched :meth:`charge`: one dict update per distinct bearer."""
+        """Batched :meth:`charge`: one plain-int dict update per packet."""
         teids = np.asarray(teids, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
-        if teids.size == 0:
-            return
-        unique, inverse = np.unique(teids, return_inverse=True)
-        sums = np.bincount(inverse, weights=sizes).astype(np.int64)
-        for teid, total in zip(unique, sums):
-            self.bytes_charged[int(teid)] = (
-                self.bytes_charged.get(int(teid), 0) + int(total)
-            )
-        self._c_bytes.inc(int(sums.sum()))
+        charged = self.bytes_charged
+        for teid, size in zip(teids.tolist(), sizes.tolist()):
+            charged[teid] = charged.get(teid, 0) + size
+        self._c_bytes.inc(int(sizes.sum()))
 
     def __repr__(self) -> str:
         return (
@@ -316,32 +320,11 @@ class EpcGateway:
                     # A production PFE drops garbage at line rate; it
                     # never dies.
                     self._c_drop_malformed.inc()
-                    return RouteResult(
-                        key=0,
-                        ingress=ingress if ingress is not None else -1,
-                        path=(),
-                        internal_hops=0,
-                        latency_us=0.0,
-                        handled_by=None,
-                        value=None,
-                        dropped=True,
-                        reason="malformed",
-                    ), None
+                    return _unrouted(0, ingress, "malformed"), None
 
                 if flow.src_ip in self.acl_blocked_sources:
                     self._c_drop_acl.inc()
-                    result = RouteResult(
-                        key=flow.key(),
-                        ingress=ingress if ingress is not None else -1,
-                        path=(),
-                        internal_hops=0,
-                        latency_us=0.0,
-                        handled_by=None,
-                        value=None,
-                        dropped=True,
-                        reason="acl",
-                    )
-                    return result, None
+                    return _unrouted(flow.key(), ingress, "acl"), None
 
             with self.registry.span("pfe_lookup"):
                 result = cluster.route(flow.key(), ingress)
@@ -349,17 +332,7 @@ class EpcGateway:
                 node in self.down_nodes for node in result.path
             ):
                 self._c_drop_node_down.inc()
-                return RouteResult(
-                    key=result.key,
-                    ingress=result.ingress,
-                    path=result.path,
-                    internal_hops=result.internal_hops,
-                    latency_us=result.latency_us,
-                    handled_by=None,
-                    value=None,
-                    dropped=True,
-                    reason="node_down",
-                ), None
+                return result.as_drop("node_down"), None
             if result.dropped:
                 self._c_drop_unknown.inc()
                 return result, None
@@ -374,19 +347,8 @@ class EpcGateway:
                 if not self.dpes[record.handling_node].process(
                     record.teid, len(l3), downlink=True, now=self.now
                 ):
-                    self._c_drop_acl.inc()
                     self._c_drop_policed.inc()
-                    return RouteResult(
-                        key=flow.key(),
-                        ingress=result.ingress,
-                        path=result.path,
-                        internal_hops=result.internal_hops,
-                        latency_us=result.latency_us,
-                        handled_by=None,
-                        value=None,
-                        dropped=True,
-                        reason="policed",
-                    ), None
+                    return result.as_drop("policed"), None
                 self.stats.charge(record.teid, len(l3))
                 self._c_down_bytes.inc(len(l3))
 
@@ -439,31 +401,17 @@ class EpcGateway:
             [None] * n
         )
 
-        def early_ingress(i: int) -> int:
-            if ingress is None or ingress[i] is None:
-                return -1
-            return int(ingress[i])  # type: ignore[arg-type]
+        def drop_early(i: int, key: int, reason: str) -> None:
+            node = ingress[i] if ingress is not None else None
+            results[i] = (_unrouted(key, node, reason), None)
 
         with self.registry.span("downstream"):
             with self.registry.span("ingress"):
-                malformed_idx = np.nonzero(parsed.malformed)[0]
+                malformed_idx = np.flatnonzero(parsed.malformed)
                 if malformed_idx.size:
                     self._c_drop_malformed.inc(int(malformed_idx.size))
-                    for i in malformed_idx:
-                        results[int(i)] = (
-                            RouteResult(
-                                key=0,
-                                ingress=early_ingress(int(i)),
-                                path=(),
-                                internal_hops=0,
-                                latency_us=0.0,
-                                handled_by=None,
-                                value=None,
-                                dropped=True,
-                                reason="malformed",
-                            ),
-                            None,
-                        )
+                    for i in malformed_idx.tolist():
+                        drop_early(i, 0, "malformed")
 
                 acl = np.zeros(n, dtype=bool)
                 if self.acl_blocked_sources:
@@ -473,26 +421,13 @@ class EpcGateway:
                         count=len(self.acl_blocked_sources),
                     )
                     acl = parsed.valid & np.isin(parsed.src_ip, blocked)
-                    acl_idx = np.nonzero(acl)[0]
+                    acl_idx = np.flatnonzero(acl)
                     if acl_idx.size:
                         self._c_drop_acl.inc(int(acl_idx.size))
-                        for i in acl_idx:
-                            results[int(i)] = (
-                                RouteResult(
-                                    key=int(parsed.keys[i]),
-                                    ingress=early_ingress(int(i)),
-                                    path=(),
-                                    internal_hops=0,
-                                    latency_us=0.0,
-                                    handled_by=None,
-                                    value=None,
-                                    dropped=True,
-                                    reason="acl",
-                                ),
-                                None,
-                            )
+                        for i in acl_idx.tolist():
+                            drop_early(i, int(parsed.keys[i]), "acl")
 
-            routed_idx = np.nonzero(parsed.valid & ~acl)[0]
+            routed_idx = np.flatnonzero(parsed.valid & ~acl)
             with self.registry.span("pfe_lookup"):
                 if ingress is None:
                     ing_routed = cluster.pick_ingress_batch(routed_idx.size)
@@ -510,125 +445,72 @@ class EpcGateway:
                 batch = cluster.route_batch(
                     parsed.keys[routed_idx], ing_routed
                 )
+            # One RouteResult per routed frame, built once from the
+            # batch's columns; only node-down and policed frames (rare)
+            # are replaced by a dropped variant.
+            routed = list(batch.results)
 
             node_down = np.zeros(routed_idx.size, dtype=bool)
             if self.down_nodes:
-                for j, result in enumerate(batch.results):
+                for j, result in enumerate(routed):
                     if any(node in self.down_nodes for node in result.path):
                         node_down[j] = True
-                down_j = np.nonzero(node_down)[0]
-                if down_j.size:
-                    self._c_drop_node_down.inc(int(down_j.size))
-                    for j in down_j:
-                        result = batch.results[int(j)]
-                        results[int(routed_idx[j])] = (
-                            RouteResult(
-                                key=result.key,
-                                ingress=result.ingress,
-                                path=result.path,
-                                internal_hops=result.internal_hops,
-                                latency_us=result.latency_us,
-                                handled_by=None,
-                                value=None,
-                                dropped=True,
-                                reason="node_down",
-                            ),
-                            None,
-                        )
+                        routed[j] = result.as_drop("node_down")
+                self._c_drop_node_down.inc(int(node_down.sum()))
 
             unknown = batch.dropped & ~node_down
-            unknown_j = np.nonzero(unknown)[0]
-            if unknown_j.size:
-                self._c_drop_unknown.inc(int(unknown_j.size))
-                for j in unknown_j:
-                    results[int(routed_idx[j])] = (
-                        batch.results[int(j)], None
-                    )
+            self._c_drop_unknown.inc(int(unknown.sum()))
 
-            accepted_j = np.nonzero(~batch.dropped & ~node_down)[0]
+            accepted_j = np.flatnonzero(~batch.dropped & ~node_down)
             self._h_fabric_hop.observe_many(batch.latencies_us[accepted_j])
 
             with self.registry.span("dpe"):
-                record_cache: Dict[int, FlowRecord] = {}
-                records: List[FlowRecord] = []
-                for j in accepted_j:
-                    key = int(parsed.keys[routed_idx[j]])
-                    record = record_cache.get(key)
-                    if record is None:
-                        record = self.controller.record_for_key(key)
-                        record_cache[key] = record
-                    assert (
-                        record is not None
-                        and batch.results[int(j)].value == record.teid
-                    )
-                    records.append(record)
-                count = len(records)
-                nows = np.empty(count, dtype=np.float64)
-                now = self.now
-                for t in range(count):
-                    # Sequential addition on purpose: float accumulation
-                    # must match the scalar path tick for tick.
-                    now += self.tick
-                    nows[t] = now
-                self.now = now
-                teids = np.fromiter(
-                    (r.teid for r in records), dtype=np.int64, count=count
-                )
-                handling = np.fromiter(
-                    (r.handling_node for r in records),
-                    dtype=np.int64, count=count,
-                )
-                sizes = parsed.l3_len[routed_idx[accepted_j]]
-                ok = np.zeros(count, dtype=bool)
-                for node_id in np.unique(handling):
+                controller = self.controller
+                frame_idx = routed_idx[accepted_j]
+                teids = batch.values[accepted_j]
+                controller.check_teids(parsed.keys[frame_idx], teids)
+                handling = controller.node_by_teid[teids]
+                # ``cumsum`` accumulates sequentially, so every tick is
+                # bit-identical to the scalar path's ``now += tick``.
+                ticks = np.full(teids.size + 1, self.tick)
+                ticks[0] = self.now
+                nows = np.cumsum(ticks)
+                self.now = float(nows[-1])
+                nows = nows[1:]
+                sizes = parsed.l3_len[frame_idx]
+                ok = np.zeros(teids.size, dtype=bool)
+                for node_id in np.flatnonzero(np.bincount(handling)).tolist():
                     mask = handling == node_id
-                    ok[mask] = self.dpes[int(node_id)].process_batch(
+                    ok[mask] = self.dpes[node_id].process_batch(
                         teids[mask], sizes[mask], downlink=True,
                         nows=nows[mask],
                     )
 
-                policed_t = np.nonzero(~ok)[0]
+                policed_t = np.flatnonzero(~ok)
                 if policed_t.size:
-                    self._c_drop_acl.inc(int(policed_t.size))
                     self._c_drop_policed.inc(int(policed_t.size))
-                    for t in policed_t:
-                        j = int(accepted_j[t])
-                        result = batch.results[j]
-                        results[int(routed_idx[j])] = (
-                            RouteResult(
-                                key=result.key,
-                                ingress=result.ingress,
-                                path=result.path,
-                                internal_hops=result.internal_hops,
-                                latency_us=result.latency_us,
-                                handled_by=None,
-                                value=None,
-                                dropped=True,
-                                reason="policed",
-                            ),
-                            None,
-                        )
-                charged_t = np.nonzero(ok)[0]
+                    for j in accepted_j[policed_t].tolist():
+                        routed[j] = routed[j].as_drop("policed")
+                charged_t = np.flatnonzero(ok)
                 self.stats.charge_many(teids[charged_t], sizes[charged_t])
                 self._c_down_bytes.inc(int(sizes[charged_t].sum()))
 
             with self.registry.span("egress"):
-                frame_idx = routed_idx[accepted_j[charged_t]]
-                bs_ips = np.fromiter(
-                    (records[int(t)].base_station_ip for t in charged_t),
-                    dtype=np.int64, count=charged_t.size,
-                )
+                charged_teids = teids[charged_t]
                 tunnelled = fastpath.encapsulate_batch(
-                    parsed, frame_idx, teids[charged_t], bs_ips,
+                    parsed, frame_idx[charged_t], charged_teids,
+                    controller.base_station_by_teid[charged_teids],
                     self.gateway_ip,
                 )
             self._c_down_tunnelled.inc(int(charged_t.size))
-            for pos, t in enumerate(charged_t):
-                j = int(accepted_j[t])
-                results[int(routed_idx[j])] = (
-                    batch.results[j], tunnelled[pos]
-                )
+            packets: List[Optional[bytes]] = [None] * len(routed)
+            for j, packet in zip(accepted_j[charged_t].tolist(), tunnelled):
+                packets[j] = packet
 
+        if len(routed) == n:
+            return list(zip(routed, packets))
+        for i, pair in zip(routed_idx.tolist(), zip(routed, packets)):
+            results[i] = pair
         return results  # type: ignore[return-value]
 
     def _process_downstream_scalar(
@@ -686,7 +568,6 @@ class EpcGateway:
             if not self.dpes[record.handling_node].process(
                 teid, len(inner), downlink=False, now=self.now
             ):
-                self._c_drop_acl.inc()
                 self._c_drop_policed.inc()
                 return None
             self.stats.charge(teid, len(inner))

@@ -300,6 +300,81 @@ class TestGatewayDifferential:
         assert_equivalent(gw_a, gw_b, frames)
         assert gw_b.registry.counters()["gateway.drops.policed"] > 0
 
+    def test_drop_counters_partition_the_input(self):
+        """Every frame is tunnelled or lands in exactly one drop counter."""
+        gw_a, flows, gen = build_gateway(seed=4, flows=40, rate=120.0)
+        gw_b, _, _ = build_gateway(seed=4, flows=40, rate=120.0)
+        for gw in (gw_a, gw_b):
+            gw.acl_blocked_sources.add(flows[0].src_ip)
+            gw.down_nodes.add(2)
+        unknown = gen.packet_stream(gen.flows(30), 60)
+        malformed = [b"", b"\x01" * 9, b"\xab" * 40]
+        pool = gen.packet_stream(flows, 1200) + unknown + malformed * 10
+        order = np.random.default_rng(6).permutation(len(pool))
+        assert_equivalent(gw_a, gw_b, [pool[int(i)] for i in order])
+        for gw in (gw_a, gw_b):
+            counters = gw.registry.counters()
+            drops = {
+                name: value for name, value in counters.items()
+                if name.startswith("gateway.drops.")
+            }
+            for reason in ("malformed", "acl", "node_down", "unknown_flow",
+                           "policed"):
+                assert drops[f"gateway.drops.{reason}"] > 0, reason
+            assert counters["gateway.downstream.packets_in"] == len(pool)
+            assert counters["gateway.downstream.packets_in"] == (
+                counters["gateway.downstream.tunnelled"] + sum(drops.values())
+            )
+
+    def test_controller_columns_follow_bearer_churn(self):
+        """Recycled TEIDs, re-homes and handovers reach the batch path."""
+        gw_a, flows, gen = build_gateway(seed=12, flows=120)
+        gw_b, _, _ = build_gateway(seed=12, flows=120)
+        rng = np.random.default_rng(5)
+        live, fresh = list(flows), gen.flows(20)
+        moved_to = parse_ip("198.51.100.7")
+        for _round in range(4):
+            for _pair in range(5):
+                gone = live.pop(int(rng.integers(len(live))))
+                new = fresh.pop()
+                old_teid = gw_a.controller.record_for_key(gone.key()).teid
+                for gw in (gw_a, gw_b):
+                    assert gw.disconnect(gone)
+                    record = gw.connect(new, gen.base_station_for(new))
+                    assert record.teid == old_teid  # recycled
+                live.append(new)
+            rehomed = live[int(rng.integers(len(live)))]
+            home = gw_a.controller.record_for_key(rehomed.key()).handling_node
+            for gw in (gw_a, gw_b):
+                gw.rehome_flow(rehomed, (home + 1) % NUM_NODES)
+            handed = live[int(rng.integers(len(live)))]
+            for gw in (gw_a, gw_b):
+                gw.controller.handover(handed, moved_to)
+            frames = gen.packet_stream(live + [gone], 300)
+            frames += [make_frame(handed)] * 3
+            batched = assert_equivalent(gw_a, gw_b, frames)
+            peers = {
+                struct.unpack("!I", out[16:20])[0]
+                for _r, out in batched[-3:]
+            }
+            assert peers == {moved_to}
+
+    def test_fib_teid_mismatch_raises(self):
+        """A FIB value that is not the controller's TEID stops both paths."""
+        gw_a, flows, _gen = build_gateway(seed=9, flows=30)
+        gw_b, _, _ = build_gateway(seed=9, flows=30)
+        frames = [make_frame(flows[i]) for i in range(6)]
+        for gw in (gw_a, gw_b):
+            record = gw.controller.record_for_key(flows[3].key())
+            gw.cluster.nodes[record.handling_node].install_route(
+                record.key, record.handling_node, record.teid + 1000
+            )
+        with pytest.raises(AssertionError):
+            for frame in frames:
+                gw_a.process_downstream(frame)
+        with pytest.raises(AssertionError, match="not the controller's TEID"):
+            gw_b.process_downstream_batch(frames)
+
     def test_pinned_and_mixed_ingress(self):
         gw_a, flows, gen = build_gateway(seed=8, flows=100)
         gw_b, _, _ = build_gateway(seed=8, flows=100)
@@ -441,6 +516,11 @@ class TestFabricBatch:
 
 class TestClusterBatch:
     def test_scalebricks_route_batch_differential(self):
+        for fabric_backend in ("crossbar", "fattree"):
+            self.check_route_batch_differential(fabric_backend)
+
+    @staticmethod
+    def check_route_batch_differential(fabric_backend):
         rng = np.random.default_rng(17)
         keys = rng.integers(1, 2**62, size=2000, dtype=np.uint64)
         owners = rng.integers(0, 4, size=2000).tolist()
@@ -448,11 +528,11 @@ class TestClusterBatch:
         reg_a, reg_b = MetricsRegistry(), MetricsRegistry()
         cluster_a = Cluster.build(
             Architecture.SCALEBRICKS, 4, keys, owners, values,
-            registry=reg_a,
+            registry=reg_a, fabric_backend=fabric_backend,
         )
         cluster_b = Cluster.build(
             Architecture.SCALEBRICKS, 4, keys, owners, values,
-            registry=reg_b,
+            registry=reg_b, fabric_backend=fabric_backend,
         )
         reg_a.reset()
         reg_b.reset()
@@ -464,7 +544,24 @@ class TestClusterBatch:
             cluster_a.route(int(k), i) for k, i in zip(probe, ingress)
         ]
         batch = cluster_b.route_batch(probe, ingress)
+        # The summary reads the columns; the per-packet tuple is built
+        # only on first iteration or indexing.
+        assert len(batch) == len(reference)
+        assert batch.delivered_count == sum(r.delivered for r in reference)
+        assert batch.mean_hops == pytest.approx(
+            np.mean([r.internal_hops for r in reference])
+        )
+        assert batch[100:900:7].delivered_count == sum(
+            r.delivered for r in reference[100:900:7]
+        )
+        assert batch._results is None
+        window = batch[1490:1510]
+        assert list(window) == reference[1490:1510]
+        assert batch._results is None
+        assert batch[1499] == reference[1499]
+        assert batch[-1] == reference[-1]
         assert list(batch) == reference
+        assert list(batch[::5]) == reference[::5]
         assert reg_a.snapshot() == reg_b.snapshot()
         for node_a, node_b in zip(cluster_a.nodes, cluster_b.nodes):
             assert vars(node_a.counters) == vars(node_b.counters)
