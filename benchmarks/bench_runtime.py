@@ -79,10 +79,7 @@ def test_wire_routing_agrees_with_shadow_and_reports_rate():
         wire_s = time.perf_counter() - started
 
         started = time.perf_counter()
-        shadow = [
-            gateway.process_downstream(frame, ingress=int(node))
-            for frame, node in zip(frames, ingress)
-        ]
+        shadow = gateway.process_downstream_batch(frames, ingress)
         shadow_s = time.perf_counter() - started
 
         for outcome, (result, out) in zip(wire, shadow):

@@ -217,7 +217,9 @@ def _run_gateway_trial(args: argparse.Namespace):
     flows = gen.populate(gateway, args.flows)
     gateway.start()
     frames = gen.packet_stream(flows, args.packets, zipf_s=args.zipf)
-    stats = run_downstream_trial(gateway, frames)
+    # Batches of one frame, so the span histograms `stats` and
+    # `--metrics-json` report are per-frame stage latencies.
+    stats = run_downstream_trial(gateway, frames, batch_size=1)
     return architecture, gateway, stats
 
 

@@ -12,13 +12,11 @@ from repro.cluster.cluster import Cluster, INGRESS_POLICIES, RouteResult
 from repro.cluster.rib import RoutingInformationBase, RibEntry
 from repro.cluster.update import UpdateEngine, UpdateStats
 from repro.cluster.failover import FailoverManager, FailureImpact
-from repro.cluster.mesh import MeshFabric
 from repro.cluster.membership import ResizeReport, resize
 
 __all__ = [
     "FailoverManager",
     "FailureImpact",
-    "MeshFabric",
     "ResizeReport",
     "resize",
     "Architecture",

@@ -73,10 +73,10 @@ class ParsedBatch:
         ttl / dscp / identification / total_length: IPv4 header fields
             needed to re-pack the forwarded inner header.
         scalar_spills: frames parsed by the scalar codec (IPv4 options).
-        degenerate: True when a valid frame would make the scalar egress
-            raise (TTL already zero, or inner packet too large for the
-            outer framing) — the caller must replay the whole batch
-            through the scalar path to reproduce the exception.
+        degenerate: True when a valid frame cannot be forwarded (TTL
+            already zero, or inner packet too large for the outer
+            framing); the gateway and the runtime daemons refuse such a
+            batch with ``ValueError``.
     """
 
     frames: Sequence[bytes]

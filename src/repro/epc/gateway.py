@@ -25,7 +25,7 @@ from repro.core.params import SetSepParams
 from repro.epc import fastpath
 from repro.epc.controller import AssignmentPolicy, EpcController, FlowRecord
 from repro.epc.dpe import DataPlaneEngine
-from repro.epc.packets import FlowTuple, extract_flow, parse_frame
+from repro.epc.packets import FlowTuple, extract_flow
 from repro.epc.tunnels import GtpTunnelEndpoint
 from repro.obs.metrics import LATENCY_BUCKETS_US, MetricsRegistry
 
@@ -193,8 +193,7 @@ class EpcGateway:
         )
         self._c_fp_spilled = r.counter(
             "gateway.fastpath.spilled_frames",
-            "frames that fell back to the scalar codec "
-            "(IPv4 options, degenerate batches)",
+            "frames parsed by the scalar codec (IPv4 options)",
         )
         # One Data Plane Engine per node: bearer state lives where the
         # flow is handled (the pinning the whole paper exists to serve).
@@ -304,93 +303,56 @@ class EpcGateway:
     def process_downstream(
         self, frame: bytes, ingress: Optional[int] = None
     ) -> Tuple[RouteResult, Optional[bytes]]:
-        """Forward one downstream frame.
+        """Forward one downstream frame: a batch of one.
 
         Returns the PFE routing outcome and, when the packet was accepted,
         the GTP-U-encapsulated packet headed for the base station.
         """
-        cluster = self._require_cluster()
-        self._c_down_in.inc()
-        with self.registry.span("downstream"):
-            with self.registry.span("ingress"):
-                try:
-                    _eth, l3 = parse_frame(frame)
-                    flow, ip_header, _l4 = extract_flow(l3)
-                except ValueError:
-                    # A production PFE drops garbage at line rate; it
-                    # never dies.
-                    self._c_drop_malformed.inc()
-                    return _unrouted(0, ingress, "malformed"), None
-
-                if flow.src_ip in self.acl_blocked_sources:
-                    self._c_drop_acl.inc()
-                    return _unrouted(flow.key(), ingress, "acl"), None
-
-            with self.registry.span("pfe_lookup"):
-                result = cluster.route(flow.key(), ingress)
-            if self.down_nodes and any(
-                node in self.down_nodes for node in result.path
-            ):
-                self._c_drop_node_down.inc()
-                return result.as_drop("node_down"), None
-            if result.dropped:
-                self._c_drop_unknown.inc()
-                return result, None
-            self._h_fabric_hop.observe(result.latency_us)
-
-            # DPE at the handling node: state/policing, charge, decrement
-            # TTL, re-encapsulate.
-            with self.registry.span("dpe"):
-                record = self.controller.record_for_key(flow.key())
-                assert record is not None and result.value == record.teid
-                self.now += self.tick
-                if not self.dpes[record.handling_node].process(
-                    record.teid, len(l3), downlink=True, now=self.now
-                ):
-                    self._c_drop_policed.inc()
-                    return result.as_drop("policed"), None
-                self.stats.charge(record.teid, len(l3))
-                self._c_down_bytes.inc(len(l3))
-
-            with self.registry.span("egress"):
-                forwarded_inner = (
-                    ip_header.decrement_ttl().pack() + l3[ip_header.SIZE:]
-                )
-                endpoint = GtpTunnelEndpoint(
-                    local_ip=self.gateway_ip, peer_ip=record.base_station_ip
-                )
-                tunnelled = endpoint.encapsulate(record.teid, forwarded_inner)
-            self._c_down_tunnelled.inc()
-            return result, tunnelled
+        pinned = None if ingress is None else [ingress]
+        return self.process_downstream_batch([frame], pinned)[0]
 
     def process_downstream_batch(
         self,
         frames: Sequence[bytes],
         ingress: Optional[Sequence[Optional[int]]] = None,
     ) -> List[Tuple[RouteResult, Optional[bytes]]]:
-        """Forward many downstream frames (batch query surface).
+        """Forward many downstream frames (the gateway's one data path).
 
-        Each element of the result is exactly what
-        :meth:`process_downstream` returns for the matching frame — same
-        output bytes, charging, counters and RNG trajectory — but the
-        whole batch flows through the vectorised codec
+        The whole batch flows through the vectorised codec
         (:mod:`repro.epc.fastpath`), one batched cluster lookup, and
-        per-node grouped DPE charging.  The optional ``ingress`` sequence
-        pins per-frame ingress nodes.  Batches containing a frame the
-        scalar path would *raise* on (TTL 0, oversized inner packet) are
-        replayed through :meth:`process_downstream` so the exception
-        surfaces identically.
+        per-node grouped DPE charging.  Outputs, charging, counters and
+        the RNG/clock trajectory do not depend on how a frame stream is
+        split into batches.  The optional ``ingress`` sequence pins
+        per-frame ingress nodes (``None`` entries pick one).
+
+        Raises:
+            ValueError: ``ingress`` has the wrong length or names a node
+                outside the cluster, or a valid frame cannot be forwarded
+                (TTL already zero, or too large for the GTP-U framing).
+                The batch is refused before any counter, clock tick, RNG
+                draw or charge moves.
         """
         cluster = self._require_cluster()
-        if ingress is not None and len(ingress) != len(frames):
-            raise ValueError("frames and ingress lengths differ")
         n = len(frames)
+        if ingress is not None:
+            if len(ingress) != n:
+                raise ValueError("frames and ingress lengths differ")
+            num_nodes = len(cluster.nodes)
+            for node in ingress:
+                if node is not None and not 0 <= node < num_nodes:
+                    raise ValueError(
+                        f"ingress node {node} is not in the cluster "
+                        f"(nodes 0..{num_nodes - 1})"
+                    )
         if n == 0:
             return []
         parsed = fastpath.parse_frames(frames)
         if parsed.degenerate:
-            self._c_fp_spilled.inc(n)
-            return self._process_downstream_scalar(frames, ingress)
+            if np.any(parsed.valid & (parsed.ttl == 0)):
+                raise ValueError("TTL expired: batch refused")
+            raise ValueError(
+                "inner packet too large for GTP-U framing: batch refused"
+            )
         self._c_fp_batches.inc()
         self._c_fp_frames.inc(n)
         if parsed.scalar_spills:
@@ -471,7 +433,8 @@ class EpcGateway:
                 controller.check_teids(parsed.keys[frame_idx], teids)
                 handling = controller.node_by_teid[teids]
                 # ``cumsum`` accumulates sequentially, so every tick is
-                # bit-identical to the scalar path's ``now += tick``.
+                # bit-identical to ``now += tick`` per frame, however the
+                # stream is split into batches.
                 ticks = np.full(teids.size + 1, self.tick)
                 ticks[0] = self.now
                 nows = np.cumsum(ticks)
@@ -512,19 +475,6 @@ class EpcGateway:
         for i, pair in zip(routed_idx.tolist(), zip(routed, packets)):
             results[i] = pair
         return results  # type: ignore[return-value]
-
-    def _process_downstream_scalar(
-        self,
-        frames: Sequence[bytes],
-        ingress: Optional[Sequence[Optional[int]]],
-    ) -> List[Tuple[RouteResult, Optional[bytes]]]:
-        """Per-frame reference path (and exception-faithful fallback)."""
-        if ingress is None:
-            return [self.process_downstream(frame) for frame in frames]
-        return [
-            self.process_downstream(frame, node)
-            for frame, node in zip(frames, ingress)
-        ]
 
     # ------------------------------------------------------------------
     # Data plane: upstream (mobile -> Internet)

@@ -42,7 +42,6 @@ from repro.runtime.launcher import (
     DEMO_GATEWAY_IP,
     LocalRuntime,
     _compare_frames,
-    _shadow_route,
 )
 from repro.runtime.liveness import NodeState
 from repro.runtime.protocol import OP_INSERT, OP_REMOVE, UpdateOp
@@ -644,7 +643,7 @@ class ClusterOps:
             ingress = [int(live[i]) for i in rng.integers(
                 len(live), size=len(frames)
             )]
-            shadow = _shadow_route(self.gateway, frames, ingress)
+            shadow = self.gateway.process_downstream_batch(frames, ingress)
             wire = self.controller.route_frames(frames, ingress)
             for result, out in shadow:
                 if out is None:

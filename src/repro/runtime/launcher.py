@@ -204,16 +204,6 @@ def _compare_frames(
     }
 
 
-def _shadow_route(
-    gateway: EpcGateway, frames: Sequence[bytes], ingress: Sequence[int]
-) -> List[Tuple[object, Optional[bytes]]]:
-    """Run frames through the in-process gateway, ingress pinned."""
-    return [
-        gateway.process_downstream(frame, ingress=int(node))
-        for frame, node in zip(frames, ingress)
-    ]
-
-
 def _audit_state(
     controller: RuntimeController,
     gateway: EpcGateway,
@@ -376,7 +366,7 @@ def run_workload(
         first = packets // 2
         frames = generator.packet_stream(live_flows, first)
         ingress = ingress_rng.integers(num_nodes, size=first)
-        shadow = _shadow_route(gateway, frames, ingress)
+        shadow = gateway.process_downstream_batch(frames, ingress)
         wire = controller.route_frames(frames, [int(n) for n in ingress])
         phase1 = _compare_frames(shadow, wire)
 
@@ -491,7 +481,7 @@ def run_workload(
             generator.packet_stream(generator.flows(8), min(64, second))
         )
         ingress = ingress_rng.integers(num_nodes, size=len(frames))
-        shadow = _shadow_route(gateway, frames, ingress)
+        shadow = gateway.process_downstream_batch(frames, ingress)
         wire = controller.route_frames(frames, [int(n) for n in ingress])
         phase2 = _compare_frames(shadow, wire)
 

@@ -58,7 +58,6 @@ from repro.runtime.launcher import (
     DEMO_GATEWAY_IP,
     LocalRuntime,
     _compare_frames,
-    _shadow_route,
 )
 from repro.runtime.protocol import (
     MSG_APPEND,
@@ -331,8 +330,7 @@ class ShadowMachine:
         ]
         shadow: List[object] = []
         for lo in range(0, len(frames), APPLY_STEP_FRAMES):
-            shadow.extend(_shadow_route(
-                self.gateway,
+            shadow.extend(self.gateway.process_downstream_batch(
                 frames[lo:lo + APPLY_STEP_FRAMES],
                 ingress[lo:lo + APPLY_STEP_FRAMES],
             ))

@@ -288,11 +288,9 @@ def _rejoin_drill(
             converged = replicas_identical()
             # Post-rejoin traffic, ingress pinned to the rejoined node.
             frames = generator.packet_stream(live_flows, 200)
-            shadow = [
-                gateway.process_downstream(frame, ingress=victim)
-                for frame in frames
-            ]
-            wire = controller.route_frames(frames, [victim] * len(frames))
+            pinned = [victim] * len(frames)
+            shadow = gateway.process_downstream_batch(frames, pinned)
+            wire = controller.route_frames(frames, pinned)
             divergences = sum(
                 1
                 for (_result, out), outcome in zip(shadow, wire)

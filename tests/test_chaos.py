@@ -115,6 +115,11 @@ class TestSoakHealth:
         assert counters["chaos.oracle.violations"] == len(episode.violations)
         assert sum(episode.faults_applied.values()) \
             == counters["chaos.faults_injected"]
+        # The soak drives the columnar data path, never a scalar twin.
+        assert counters["gateway.downstream.packets_in"] > 0
+        assert counters["gateway.fastpath.frames"] \
+            == counters["gateway.downstream.packets_in"]
+        assert counters["gateway.fastpath.spilled_frames"] == 0
 
 
 def started_gateway(flows=24, nodes=4, seed=77):

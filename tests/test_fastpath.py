@@ -1,9 +1,11 @@
-"""Scalar/batch differentials for the vectorised data-plane fast path.
+"""Differentials for the gateway's one columnar downstream data path.
 
-The contract under test: ``EpcGateway.process_downstream_batch`` (and every
-layer under it — frame codec, batched routing, grouped DPE dispatch) is
-byte-identical, counter-identical and trajectory-identical to N sequential
-``process_downstream`` calls.
+Two contracts are under test.  ``EpcGateway.process_downstream_batch``
+(and every layer under it — frame codec, batched routing, grouped DPE
+dispatch) gives byte-, counter- and trajectory-identical results however a
+frame stream is split into batches; ``process_downstream`` is a batch of
+one.  And every output agrees with the chaos package's independent
+single-node ``ReferenceGateway`` built from the scalar codecs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.oracle import (
+    DELIVERED,
+    MALFORMED,
+    UNKNOWN,
+    ReferenceFlow,
+    ReferenceGateway,
+)
 from repro.cluster.architectures import Architecture
 from repro.cluster.cluster import Cluster
 from repro.cluster.fabric import SwitchFabric
@@ -38,7 +47,6 @@ from repro.epc.traffic import (
     GENERATOR_MAC,
     FlowGenerator,
     run_downstream_trial,
-    run_downstream_trial_batched,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -119,30 +127,106 @@ def strip_fastpath(counters):
     }
 
 
-def assert_equivalent(gw_scalar, gw_batch, frames, ingress=None):
-    """Drive both gateways and compare every observable output."""
-    if ingress is None:
-        reference = [gw_scalar.process_downstream(f) for f in frames]
-    else:
-        reference = [
-            gw_scalar.process_downstream(f, i)
-            for f, i in zip(frames, ingress)
-        ]
+def mirror_reference(gateway):
+    """A ``ReferenceGateway`` holding the controller's current records."""
+    reference = ReferenceGateway(gateway.gateway_ip)
+    for record in gateway.controller.flows.values():
+        reference.insert(ReferenceFlow(
+            key=record.key,
+            teid=record.teid,
+            node=record.handling_node,
+            base_station_ip=record.base_station_ip,
+            flow=record.flow,
+        ))
+    reference.acl_blocked_sources = set(gateway.acl_blocked_sources)
+    return reference
+
+
+def assert_matches_reference(reference, frames, outputs, charged):
+    """Every output agrees with the independent reference gateway.
+
+    ``charged`` is the per-TEID bytes the gateway charged for ``frames``.
+    Known keys may only be dropped as node-down or policed.
+    """
+    expected_charges = {}
+    for frame, (result, out) in zip(frames, outputs):
+        expected = reference.expect_downstream(frame)
+        if expected.kind == MALFORMED:
+            assert (result.dropped, result.reason, out) == (
+                True, "malformed", None
+            )
+        elif expected.kind == "acl":
+            assert (result.dropped, result.reason, out) == (True, "acl", None)
+        elif expected.kind == UNKNOWN:
+            assert result.dropped and out is None
+            assert result.reason in ("unknown_key", "node_down")
+        else:
+            assert expected.kind == DELIVERED
+            if out is None:
+                assert result.dropped
+                assert result.reason in ("node_down", "policed")
+                continue
+            assert (result.handled_by, result.value) == (
+                expected.node, expected.teid
+            )
+            assert out == expected.payload
+            expected_charges[expected.teid] = (
+                expected_charges.get(expected.teid, 0) + expected.charge
+            )
+    assert charged == expected_charges
+
+
+def replay(gateway, frames, ingress=None, chunks=(1,)):
+    """Feed ``frames`` in chunks cycling through ``chunks`` sizes.
+
+    A chunk of one goes through ``process_downstream``.
+    """
+    outputs, start, turn = [], 0, 0
+    while start < len(frames):
+        size = chunks[turn % len(chunks)]
+        turn += 1
+        part = frames[start:start + size]
+        pinned = None if ingress is None else ingress[start:start + size]
+        start += size
+        if size == 1:
+            node = None if pinned is None else pinned[0]
+            outputs.append(gateway.process_downstream(part[0], node))
+        else:
+            outputs.extend(gateway.process_downstream_batch(part, pinned))
+    return outputs
+
+
+def assert_equivalent(gw_twin, gw_batch, frames, ingress=None, chunks=(1,)):
+    """Drive both gateways and compare every observable output.
+
+    The twin replays the stream in ``chunks``-sized pieces (batches of one
+    by default); the other gateway takes it as one batch, which must also
+    agree with the reference gateway.
+    """
+    reference = mirror_reference(gw_batch)
+    charged_before = dict(gw_batch.stats.bytes_charged)
+    twin = replay(gw_twin, frames, ingress, chunks)
     batched = gw_batch.process_downstream_batch(frames, ingress)
-    assert len(batched) == len(reference)
-    for ref, out in zip(reference, batched):
+    charged = {
+        teid: total - charged_before.get(teid, 0)
+        for teid, total in gw_batch.stats.bytes_charged.items()
+        if total != charged_before.get(teid, 0)
+    }
+    assert_matches_reference(reference, frames, batched, charged)
+    assert len(batched) == len(twin)
+    for ref, out in zip(twin, batched):
         assert ref == out
-    assert gw_scalar.stats.bytes_charged == gw_batch.stats.bytes_charged
-    assert strip_fastpath(gw_scalar.registry.counters()) == strip_fastpath(
+    assert gw_twin.stats.bytes_charged == gw_batch.stats.bytes_charged
+    assert strip_fastpath(gw_twin.registry.counters()) == strip_fastpath(
         gw_batch.registry.counters()
     )
-    assert gw_scalar.now == gw_batch.now
+    assert gw_twin.now == gw_batch.now
     assert (
-        gw_scalar.cluster.fabric.stats == gw_batch.cluster.fabric.stats
+        gw_twin.cluster.fabric.stats == gw_batch.cluster.fabric.stats
     )
-    for node_a, node_b in zip(gw_scalar.cluster.nodes, gw_batch.cluster.nodes):
+    for node_a, node_b in zip(gw_twin.cluster.nodes, gw_batch.cluster.nodes):
         assert vars(node_a.counters) == vars(node_b.counters)
-    for dpe_a, dpe_b in zip(gw_scalar.dpes, gw_batch.dpes):
+    for dpe_a, dpe_b in zip(gw_twin.dpes, gw_batch.dpes):
         assert dpe_a.policed_drops == dpe_b.policed_drops
         for teid, ctx_a in dpe_a._flows.items():
             ctx_b = dpe_b._flows[teid]
@@ -233,6 +317,10 @@ class TestEncapsulateBatch:
         for (_, ref), (_, out) in zip(reference, batched):
             assert ref == out
             assert ref is not None
+        assert_matches_reference(
+            mirror_reference(gateway2), frames, batched,
+            gateway2.stats.bytes_charged,
+        )
 
 
 class TestGatewayDifferential:
@@ -270,7 +358,11 @@ class TestGatewayDifferential:
         order = rng.permutation(len(pool))
         pool = [pool[int(i)] for i in order]
 
-        batched = assert_equivalent(gw_a, gw_b, pool)
+        # The twin takes the stream in mixed chunks, batches of one
+        # included, to bound the test's time.
+        batched = assert_equivalent(
+            gw_a, gw_b, pool, chunks=(1, 257, 3, 1024, 1, 64)
+        )
         counters = gw_b.registry.counters()
         assert counters["gateway.fastpath.frames"] == len(pool)
         assert counters["gateway.fastpath.batches"] == 1
@@ -386,26 +478,43 @@ class TestGatewayDifferential:
         assert_equivalent(gw_a, gw_b, frames, ingress)
 
     def test_degenerate_batch_raises_like_scalar(self):
-        gw_a, flows, _gen = build_gateway(seed=2, flows=20)
-        gw_b, _, _ = build_gateway(seed=2, flows=20)
-        frames = [make_frame(flows[0]), make_frame(flows[1], ttl=0)]
-        with pytest.raises(ValueError, match="TTL expired"):
-            for frame in frames:
-                gw_a.process_downstream(frame)
-        with pytest.raises(ValueError, match="TTL expired"):
-            gw_b.process_downstream_batch(frames)
-        assert strip_fastpath(gw_a.registry.counters()) == strip_fastpath(
-            gw_b.registry.counters()
-        )
-        # The degenerate batch must be accounted as spilled, not fast.
-        assert gw_b.registry.counters()["gateway.fastpath.batches"] == 0
-        assert gw_b.registry.counters()["gateway.fastpath.spilled_frames"] == 2
+        """A TTL-0 or oversized frame refuses its batch with no side effect."""
+        for case in ("ttl", "oversized"):
+            gateway, flows, gen = build_gateway(seed=2, flows=20)
+            fresh, _, _ = build_gateway(seed=2, flows=20)
+            if case == "ttl":
+                bad, message = make_frame(flows[1], ttl=0), "TTL expired"
+            else:
+                payload = b"z" * fastpath.MAX_INNER
+                bad, message = make_frame(flows[2], payload), "too large"
+            frames = [make_frame(flows[0]), bad]
+            with pytest.raises(ValueError, match=message):
+                gateway.process_downstream_batch(frames)
+            with pytest.raises(ValueError, match=message):
+                gateway.process_downstream(bad, 1)
+            assert gateway.registry.counters() == fresh.registry.counters()
+            assert gateway.stats.bytes_charged == fresh.stats.bytes_charged
+            assert gateway.now == fresh.now
+            assert gateway.cluster.fabric.stats == fresh.cluster.fabric.stats
+            # No ingress pick was drawn: the RNG streams still agree.
+            assert_equivalent(fresh, gateway, gen.packet_stream(flows, 40))
 
     def test_length_mismatch_raises(self):
         gateway, flows, gen = build_gateway(flows=10)
+        fresh, _, _ = build_gateway(flows=10)
         frames = gen.packet_stream(flows, 4)
         with pytest.raises(ValueError, match="lengths differ"):
             gateway.process_downstream_batch(frames, [0])
+        # An out-of-range pinned ingress is refused before any counter
+        # moves (no negative indexing into the node list).
+        for node in (-1, NUM_NODES):
+            with pytest.raises(ValueError, match=f"ingress node {node} "):
+                gateway.process_downstream_batch(frames, [0, None, node, 1])
+            with pytest.raises(ValueError, match=f"ingress node {node} "):
+                gateway.process_downstream(frames[0], node)
+        assert gateway.registry.counters() == fresh.registry.counters()
+        for node_a, node_b in zip(gateway.cluster.nodes, fresh.cluster.nodes):
+            assert vars(node_a.counters) == vars(node_b.counters)
 
     def test_batched_trial_matches_scalar_trial(self):
         gw_a, flows, gen_a = build_gateway(seed=21, flows=150)
@@ -413,8 +522,8 @@ class TestGatewayDifferential:
         frames_a = gen_a.packet_stream(flows, 1200)
         frames_b = gen_b.packet_stream(flows, 1200)
         assert frames_a == frames_b
-        stats_a = run_downstream_trial(gw_a, frames_a)
-        stats_b = run_downstream_trial_batched(gw_b, frames_b, batch_size=128)
+        stats_a = run_downstream_trial(gw_a, frames_a, batch_size=1)
+        stats_b = run_downstream_trial(gw_b, frames_b, batch_size=128)
         assert (stats_a.offered, stats_a.delivered, stats_a.dropped) == (
             stats_b.offered, stats_b.delivered, stats_b.dropped
         )

@@ -69,6 +69,14 @@ class TestTrial:
         assert stats.software_pps > 0
         assert sum(stats.hop_histogram.values()) == 300
 
+    def test_trial_rejects_nonpositive_batch_size(self):
+        gateway = EpcGateway(
+            Architecture.SCALEBRICKS, 2, parse_ip("192.0.2.1")
+        )
+        gateway.start()
+        with pytest.raises(ValueError, match="batch_size"):
+            run_downstream_trial(gateway, [], batch_size=0)
+
 
 class TestRfc2544:
     def test_compare_orders_designs(self):
